@@ -22,6 +22,8 @@ class LineState(Enum):
     EXCLUSIVE = auto()  # dirty, sole owner (WBI)
     VALID_LOCAL = auto()  # paper's uncoherent local-mode line
 
+    __hash__ = object.__hash__  # C-level identity hash (see MessageType)
+
 
 class LockMode(Enum):
     """Content of a line's lock field (Fig. 2a)."""

@@ -403,16 +403,8 @@ class PrimitivesHomeController(Controller):
             entry.defer(msg)
             return
         entry.busy = True
-        handler = {
-            MessageType.READ_MISS: self._h_read_miss,
-            MessageType.READ_GLOBAL: self._h_read_global,
-            MessageType.GLOBAL_WRITE: self._h_global_write,
-            MessageType.WRITEBACK: self._h_writeback,
-            MessageType.RU_REQ: self._h_ru_req,
-            MessageType.RESET_UPDATE: self._h_reset_update,
-            MessageType.RMW_REQ: self._h_rmw,
-        }[msg.mtype]
-        self.sim.process(handler(msg, entry), name=f"prim-home-{msg.mtype.name}-{msg.addr}")
+        fn, prefix = self._ADMIT[msg.mtype]
+        self.sim.process(fn(self, msg, entry), name=f"{prefix}{msg.addr}")
 
     def _done(self, entry) -> None:
         entry.busy = False
@@ -603,3 +595,19 @@ class PrimitivesHomeController(Controller):
             )
         self.reply_to(msg, MessageType.RMW_REPLY, addr=entry.block, word=word, old=old)
         self._done(entry)
+
+    #: Request type -> (transaction generator, process-name prefix), built
+    #: once per class instead of per request.  Process names read
+    #: ``prim-home-<TYPE>-<addr>`` as ever: traces and HangDiagnosis show them.
+    _ADMIT = {
+        mt: (fn, f"prim-home-{mt.name}-")
+        for mt, fn in (
+            (MessageType.READ_MISS, _h_read_miss),
+            (MessageType.READ_GLOBAL, _h_read_global),
+            (MessageType.GLOBAL_WRITE, _h_global_write),
+            (MessageType.WRITEBACK, _h_writeback),
+            (MessageType.RU_REQ, _h_ru_req),
+            (MessageType.RESET_UPDATE, _h_reset_update),
+            (MessageType.RMW_REQ, _h_rmw),
+        )
+    }

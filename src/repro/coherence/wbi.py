@@ -366,14 +366,8 @@ class WBIHomeController(Controller):
             entry.defer(msg)
             return
         entry.busy = True
-        handler = {
-            MessageType.READ_MISS: self._h_read_miss,
-            MessageType.WRITE_MISS: self._h_write_miss,
-            MessageType.UPGRADE: self._h_upgrade,
-            MessageType.WRITEBACK: self._h_writeback,
-            MessageType.RMW_REQ: self._h_rmw,
-        }[mt]
-        self.sim.process(handler(msg, entry), name=f"wbi-home-{mt.name}-{msg.addr}")
+        fn, prefix = self._ADMIT[mt]
+        self.sim.process(fn(self, msg, entry), name=f"{prefix}{msg.addr}")
 
     def _done(self, entry) -> None:
         """Close a transaction and replay the next deferred request."""
@@ -557,3 +551,17 @@ class WBIHomeController(Controller):
         mem.write_word(word, apply_rmw(msg.info["op"], old, msg.info["operand"]))
         self.reply_to(msg, MessageType.RMW_REPLY, addr=entry.block, word=word, old=old)
         self._done(entry)
+
+    #: Request type -> (transaction generator, process-name prefix), built
+    #: once per class instead of per request.  Process names read
+    #: ``wbi-home-<TYPE>-<addr>`` as ever: traces and HangDiagnosis show them.
+    _ADMIT = {
+        mt: (fn, f"wbi-home-{mt.name}-")
+        for mt, fn in (
+            (MessageType.READ_MISS, _h_read_miss),
+            (MessageType.WRITE_MISS, _h_write_miss),
+            (MessageType.UPGRADE, _h_upgrade),
+            (MessageType.WRITEBACK, _h_writeback),
+            (MessageType.RMW_REQ, _h_rmw),
+        )
+    }

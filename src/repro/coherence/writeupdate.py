@@ -258,13 +258,8 @@ class WUHomeController(Controller):
             entry.defer(msg)
             return
         entry.busy = True
-        handler = {
-            MessageType.READ_MISS: self._h_read_miss,
-            MessageType.WU_WRITE: self._h_write,
-            MessageType.WU_EVICT: self._h_evict,
-            MessageType.RMW_REQ: self._h_rmw,
-        }[msg.mtype]
-        self.sim.process(handler(msg, entry), name=f"wu-home-{msg.mtype.name}-{msg.addr}")
+        fn, prefix = self._ADMIT[msg.mtype]
+        self.sim.process(fn(self, msg, entry), name=f"{prefix}{msg.addr}")
 
     def _done(self, entry) -> None:
         entry.busy = False
@@ -345,3 +340,16 @@ class WUHomeController(Controller):
         yield from self._push_update(entry, word, new, exclude=-1)
         self.reply_to(msg, MessageType.RMW_REPLY, addr=entry.block, word=word, old=old)
         self._done(entry)
+
+    #: Request type -> (transaction generator, process-name prefix), built
+    #: once per class instead of per request.  Process names read
+    #: ``wu-home-<TYPE>-<addr>`` as ever: traces and HangDiagnosis show them.
+    _ADMIT = {
+        mt: (fn, f"wu-home-{mt.name}-")
+        for mt, fn in (
+            (MessageType.READ_MISS, _h_read_miss),
+            (MessageType.WU_WRITE, _h_write),
+            (MessageType.WU_EVICT, _h_evict),
+            (MessageType.RMW_REQ, _h_rmw),
+        )
+    }

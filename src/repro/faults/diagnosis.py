@@ -185,13 +185,7 @@ def diagnose_machine(machine: "Machine", reason: str) -> HangDiagnosis:
                 d.busy_blocks[block] = nid
                 d.blame.add(f"block {block} stuck busy at home {nid}")
     net = machine.net
-    for chan, sent in net._chan_send_seq.items():
-        delivered = net._chan_deliver_seq.get(chan, 0)
-        if sent > delivered:
-            d.in_flight[chan] = sent - delivered
-    for chan, held in net._chan_held.items():
-        if held:
-            d.held[chan] = len(held)
+    d.in_flight, d.held = net.channel_backlog()
     plan = getattr(net, "fault_plan", None)
     if plan is not None:
         d.dropped = list(plan.drop_log)

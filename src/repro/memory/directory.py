@@ -36,6 +36,8 @@ class DirState(Enum):
     SHARED = auto()  # one or more clean cached copies
     EXCLUSIVE = auto()  # exactly one dirty cached copy
 
+    __hash__ = object.__hash__  # C-level identity hash (see MessageType)
+
 
 @dataclass(slots=True)
 class DirectoryEntry:

@@ -23,11 +23,12 @@ class BusNetwork(Interconnect):
         super().__init__(sim, n_nodes, params)
         self._busy_until = 0.0
         self._busy_time = 0.0
+        self._queueing = self.stats.tally("queueing")
 
     def _route(self, msg: Message, flits: int) -> None:
         service = self.params.switch_cycle * flits
         start = max(self.sim.now, self._busy_until)
-        self.stats.observe("queueing", start - self.sim.now)
+        self._queueing.observe(start - self.sim.now)
         depart = start + service
         self._busy_until = depart
         self._busy_time += service

@@ -21,11 +21,12 @@ class CrossbarNetwork(Interconnect):
     def __init__(self, sim: Simulator, n_nodes: int, params: Optional[NetworkParams] = None):
         super().__init__(sim, n_nodes, params)
         self._busy_until: List[float] = [0.0] * n_nodes
+        self._queueing = self.stats.tally("queueing")
 
     def _route(self, msg: Message, flits: int) -> None:
         service = self.params.switch_cycle * flits
         start = max(self.sim.now, self._busy_until[msg.dst])
-        self.stats.observe("queueing", start - self.sim.now)
+        self._queueing.observe(start - self.sim.now)
         depart = start + service
         self._busy_until[msg.dst] = depart
         if self.obs is not None:

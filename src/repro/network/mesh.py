@@ -52,6 +52,7 @@ class MeshNetwork(Interconnect):
         super().__init__(sim, n_nodes, params)
         self.rows, self.cols = mesh_dims(n_nodes)
         self._busy_until: Dict[Tuple[int, int], float] = {}
+        self._queueing = self.stats.tally("queueing")
 
     def _route(self, msg: Message, flits: int) -> None:
         service = self.params.switch_cycle * flits
@@ -67,8 +68,9 @@ class MeshNetwork(Interconnect):
             depart = start + service
             self._busy_until[link] = depart
             t = depart
-        self.stats.observe("queueing", queued)
-        self.stats.counters.add("hops", len(links))
+        self._queueing.observe(queued)
+        counts = self._counts
+        counts["hops"] = counts.get("hops", 0) + len(links)
         if self.obs is not None:
             self.obs.instant(
                 "route:mesh",

@@ -34,9 +34,21 @@ class SizeClass(Enum):
     WORD = auto()  # C_W
     BLOCK = auto()  # C_B
 
+    __hash__ = object.__hash__  # C-level identity hash (see MessageType)
+
 
 class MessageType(Enum):
-    """All message kinds used by the coherence, memory, and sync protocols."""
+    """All message kinds used by the coherence, memory, and sync protocols.
+
+    Members are dict keys on every message (flit table, counter keys, node
+    dispatch, home admission), so they hash by identity in C instead of
+    through ``Enum.__hash__`` (a Python-level ``hash(self._name_)``).
+    Equality is identity either way, and no result may depend on the
+    iteration order of a set of members: string hashes are randomized per
+    process, so that order was never stable to begin with.
+    """
+
+    __hash__ = object.__hash__
 
     # -- plain cache coherence (WBI baseline) -----------------------------
     READ_MISS = auto()  # cache -> home: need block (shared)

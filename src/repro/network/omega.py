@@ -18,7 +18,7 @@ Two variants:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..sim.core import Simulator
 from ..sim.resources import Store
@@ -35,48 +35,52 @@ class OmegaNetwork(Interconnect):
     def __init__(self, sim: Simulator, n_nodes: int, params: Optional[NetworkParams] = None):
         super().__init__(sim, n_nodes, params)
         self.stages = num_stages(n_nodes)
-        # busy_until[stage][wire]: the time this output wire frees up.
-        self._busy_until: List[List[float]] = [
-            [0.0] * n_nodes for _ in range(self.stages)
-        ]
-        self._wire_busy_time: List[List[float]] = [
-            [0.0] * n_nodes for _ in range(self.stages)
-        ]
-        # Destination-tag routes are static per (src, dst); memoize them so
-        # the per-message cost is one dict hit, not a per-stage bit dance.
-        self._routes: Dict[tuple, List[int]] = {}
+        # _busy_until[stage * n_nodes + wire]: the time that output wire
+        # frees up, one flat list for every stage.
+        self._busy_until: List[float] = [0.0] * (self.stages * n_nodes)
+        # Wire-cycles carried so far (every stage of a route carries the
+        # message for the same service time): all wire_utilization needs.
+        self._wire_busy_total = 0.0
+        # Destination-tag routes are static per channel: memoized as the
+        # tuple of _busy_until slots the route occupies, by channel index
+        # ``src * n_nodes + dst``.
+        self._slots: List[Optional[Tuple[int, ...]]] = [None] * (n_nodes * n_nodes)
         self._queueing = self.stats.tally("queueing")
 
     def _route(self, msg: Message, flits: int) -> None:
         service = self.params.switch_cycle * flits
-        t = self.sim.now
-        key = (msg.src, msg.dst)
-        wires = self._routes.get(key)
-        if wires is None:
-            wires = self._routes[key] = omega_route(msg.src, msg.dst, self.n_nodes)
+        now = t = self.sim.now
+        n = self.n_nodes
+        chan = msg.src * n + msg.dst
+        slots = self._slots[chan]
+        if slots is None:
+            wires = omega_route(msg.src, msg.dst, n)
+            slots = self._slots[chan] = tuple(
+                stage * n + wire for stage, wire in enumerate(wires)
+            )
+        busy = self._busy_until
         queued = 0.0
-        for stage, wire in enumerate(wires):
-            row = self._busy_until[stage]
-            start = row[wire]
+        for slot in slots:
+            start = busy[slot]
             if start < t:
                 start = t
             else:
                 queued += start - t
-            depart = start + service
-            row[wire] = depart
-            self._wire_busy_time[stage][wire] += service
-            t = depart
+            t = busy[slot] = start + service
+        stages = self.stages
+        self._wire_busy_total += service * stages
         self._queueing.observe(queued)
-        self._counters.add("stage_traversals", self.stages)
+        counts = self._counts
+        counts["stage_traversals"] = counts.get("stage_traversals", 0) + stages
         if self.obs is not None:
             self.obs.instant(
                 "route:omega",
                 "net",
                 msg.src,
-                args={"stages": self.stages, "queued": queued, "transit": t - self.sim.now},
+                args={"stages": stages, "queued": queued, "transit": t - now},
                 id=msg.msg_id,
             )
-        self._deliver_after(msg, t - self.sim.now)
+        self._deliver_after(msg, t - now)
 
     # -- reporting ----------------------------------------------------------
     def uncontended_latency(self, flits: int) -> int:
@@ -88,8 +92,7 @@ class OmegaNetwork(Interconnect):
         horizon = self.sim.now if until is None else until
         if horizon <= 0:
             return 0.0
-        total = sum(sum(row) for row in self._wire_busy_time)
-        return total / (horizon * self.stages * self.n_nodes)
+        return self._wire_busy_total / (horizon * self.stages * self.n_nodes)
 
 
 class BufferedOmegaNetwork(Interconnect):
@@ -108,9 +111,8 @@ class BufferedOmegaNetwork(Interconnect):
         self.stages = num_stages(n_nodes)
         cap = self.params.buffer_capacity
         self._ports: List[Dict[int, Store]] = [dict() for _ in range(self.stages)]
-        self._port_started: List[Dict[int, bool]] = [dict() for _ in range(self.stages)]
         self._cap = cap
-        self._routes: Dict[tuple, List[int]] = {}
+        self._routes: Dict[int, List[int]] = {}
 
     def _port(self, stage: int, wire: int) -> Store:
         store = self._ports[stage].get(wire)
@@ -121,7 +123,7 @@ class BufferedOmegaNetwork(Interconnect):
         return store
 
     def _route(self, msg: Message, flits: int) -> None:
-        key = (msg.src, msg.dst)
+        key = msg.src * self.n_nodes + msg.dst
         wires = self._routes.get(key)
         if wires is None:
             wires = self._routes[key] = omega_route(msg.src, msg.dst, self.n_nodes)
@@ -147,7 +149,8 @@ class BufferedOmegaNetwork(Interconnect):
                 )
             next_stage = stage + 1
             if next_stage >= self.stages:
-                self.stats.counters.add("stage_traversals", self.stages)
+                counts = self._counts
+                counts["stage_traversals"] = counts.get("stage_traversals", 0) + self.stages
                 self._deliver_after(msg, 0)
             else:
                 nxt = self._port(next_stage, wires[next_stage])

@@ -23,9 +23,9 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from ..sim.core import Simulator
+from ..sim.core import Simulator, Timeout
 from ..sim.stats import StatSet
 from .message import Message, MessageType, flit_table
 
@@ -88,12 +88,16 @@ class Interconnect(ABC):
         self.sim = sim
         self.n_nodes = n_nodes
         self.params = params or NetworkParams()
-        self._handlers: Dict[int, DeliveryHandler] = {}
-        # Per-channel FIFO state: next sequence to assign / to deliver, and
-        # early arrivals held for a straggling predecessor.
-        self._chan_send_seq: Dict[tuple, int] = {}
-        self._chan_deliver_seq: Dict[tuple, int] = {}
-        self._chan_held: Dict[tuple, Dict[int, Message]] = {}
+        self._handlers: List[Optional[DeliveryHandler]] = [None] * n_nodes
+        self._by_type: List[Dict[MessageType, DeliveryHandler]] = [{} for _ in range(n_nodes)]
+        # Per-channel FIFO state, keyed by the channel index
+        # ``src * n_nodes + dst``: next sequence to assign / to deliver, and
+        # early arrivals held for a straggling predecessor.  Dicts, not
+        # lists: their insertion order (first send on each channel) is the
+        # order channel_backlog reports channels in.
+        self._chan_send_seq: Dict[int, int] = {}
+        self._chan_deliver_seq: Dict[int, int] = {}
+        self._chan_held: Dict[int, Dict[int, Message]] = {}
         #: Optional fault injector; ``None`` = the paper's reliable fabric.
         self.fault_plan: Optional["FaultPlan"] = None
         #: Trace bus (:class:`repro.obs.bus.TraceBus`) or ``None``; the
@@ -105,13 +109,17 @@ class Interconnect(ABC):
         #: causal parent.
         self._cause: int = -1
         self.stats = StatSet()
-        # Per-message hot-path constants, resolved once: mtype -> flit count
-        # and mtype -> counter key (f-strings per send add up at millions of
-        # messages), plus the latency tally (skips a dict probe per arrival).
-        self._flits = flit_table(self.params.words_per_block)
-        self._msg_keys = {mt: f"msg.{mt.name}" for mt in MessageType}
-        self._counters = self.stats.counters
+        # Per-message hot-path constants, resolved once: mtype -> (flit
+        # count, counter key) (f-strings per send add up at millions of
+        # messages), the raw counter dict (per-message counts are plain
+        # increments on it, so every reader of ``stats.counters`` sees the
+        # same keys in the same first-send order), the latency tally, and
+        # the arrival callback, bound once rather than per message.
+        flits = flit_table(self.params.words_per_block)
+        self._mtype_info = {mt: (flits[mt], f"msg.{mt.name}") for mt in MessageType}
+        self._counts = self.stats.counters._counts
         self._latency = self.stats.tally("latency")
+        self._arrive = self._on_arrival
 
     def set_fault_plan(self, plan: Optional["FaultPlan"]) -> None:
         """Install (or clear) a fault injector on this interconnect.
@@ -126,38 +134,55 @@ class Interconnect(ABC):
         self.fault_plan = plan
 
     # -- wiring ---------------------------------------------------------
-    def attach(self, node_id: int, handler: DeliveryHandler) -> None:
-        """Register the delivery callback for ``node_id``."""
+    def attach(
+        self,
+        node_id: int,
+        handler: DeliveryHandler,
+        by_type: Optional[Dict[MessageType, DeliveryHandler]] = None,
+    ) -> None:
+        """Register the delivery callback for ``node_id``.
+
+        ``by_type`` optionally maps message types to callables that handle
+        them exactly as ``handler`` does while no fault plan and no trace
+        bus are installed; such arrivals then call them directly (one call
+        per message fewer).  The mapping is read at each arrival, so the
+        caller may keep filling it after attaching.
+        """
         if not 0 <= node_id < self.n_nodes:
             raise ValueError(f"node id {node_id} out of range")
-        if node_id in self._handlers:
+        if self._handlers[node_id] is not None:
             raise ValueError(f"node {node_id} already attached")
         self._handlers[node_id] = handler
+        if by_type is not None:
+            self._by_type[node_id] = by_type
 
     # -- sending ----------------------------------------------------------
     def send(self, msg: Message) -> None:
         """Inject ``msg``; it will be delivered to the destination handler."""
-        if not 0 <= msg.dst < self.n_nodes:
-            raise ValueError(f"destination {msg.dst} out of range")
-        if not 0 <= msg.src < self.n_nodes:
-            raise ValueError(f"source {msg.src} out of range")
-        if self.fault_plan is not None and self.fault_plan.send_outage(
-            msg.src, msg.dst, self.sim.now
-        ):
+        src = msg.src
+        dst = msg.dst
+        n = self.n_nodes
+        if not 0 <= dst < n:
+            raise ValueError(f"destination {dst} out of range")
+        if not 0 <= src < n:
+            raise ValueError(f"source {src} out of range")
+        now = self.sim.now
+        if self.fault_plan is not None and self.fault_plan.send_outage(src, dst, now):
             # Died on a downed link/node before entering the fabric: no
             # sequence number assigned, so the FIFO resequencer never waits
             # for it.
             self.stats.counters.add("fault.outage_drops")
             return
-        msg.send_time = self.sim.now
-        chan = (msg.src, msg.dst)
-        msg.chan_seq = self._chan_send_seq.get(chan, 0)
-        self._chan_send_seq[chan] = msg.chan_seq + 1
-        flits = self._flits[msg.mtype]
-        counters = self._counters
-        counters.add("messages")
-        counters.add(self._msg_keys[msg.mtype])
-        counters.add("flits", flits)
+        msg.send_time = now
+        chan = src * n + dst
+        send_seq = self._chan_send_seq
+        seq = msg.chan_seq = send_seq.get(chan, 0)
+        send_seq[chan] = seq + 1
+        flits, key = self._mtype_info[msg.mtype]
+        counts = self._counts
+        counts["messages"] = counts.get("messages", 0) + 1
+        counts[key] = counts.get(key, 0) + 1
+        counts["flits"] = counts.get("flits", 0) + flits
         obs = self.obs
         if obs is not None:
             if msg.parent_id < 0:
@@ -165,13 +190,13 @@ class Interconnect(ABC):
             obs.instant(
                 f"send:{msg.mtype.name}",
                 "net",
-                msg.src,
-                args={"dst": msg.dst, "flits": flits, "seq": msg.chan_seq},
+                src,
+                args={"dst": dst, "flits": flits, "seq": seq},
                 id=msg.msg_id,
                 parent=msg.parent_id,
             )
-        if msg.src == msg.dst:
-            counters.add("local_messages")
+        if src == dst:
+            counts["local_messages"] = counts.get("local_messages", 0) + 1
             self._deliver_after(msg, self.params.local_delivery)
             return
         self._route(msg, flits)
@@ -187,13 +212,14 @@ class Interconnect(ABC):
             if spike:
                 self.stats.counters.add("fault.spikes")
                 delay += spike
-        ev = self.sim.timeout(delay, value=msg)
-        ev.callbacks.append(self._on_arrival)
+        Timeout(self.sim, delay, msg).callbacks.append(self._arrive)
 
     def _on_arrival(self, ev) -> None:
-        msg: Message = ev.value
-        chan = (msg.src, msg.dst)
-        expected = self._chan_deliver_seq.get(chan, 0)
+        msg: Message = ev._value
+        dst = msg.dst
+        chan = msg.src * self.n_nodes + dst
+        deliver_seq = self._chan_deliver_seq
+        expected = deliver_seq.get(chan, 0)
         if msg.chan_seq > expected:
             # Arrived ahead of an in-flight predecessor on the same channel:
             # hold until the channel's FIFO order catches up.
@@ -203,13 +229,22 @@ class Interconnect(ABC):
                 self.obs.instant(
                     f"fifo_hold:{msg.mtype.name}",
                     "net",
-                    msg.dst,
+                    dst,
                     args={"seq": msg.chan_seq, "expected": expected},
                     id=msg.msg_id,
                 )
             return
-        self._chan_deliver_seq[chan] = expected + 1
-        self._dispatch(msg)
+        deliver_seq[chan] = expected + 1
+        if self.fault_plan is None and self.obs is None:
+            # Reliable, untraced fabric: _dispatch and _handle reduce to
+            # the latency sample and the handler call, done here in place.
+            self._latency.observe(self.sim.now - msg.send_time)
+            handler = self._by_type[dst].get(msg.mtype) or self._handlers[dst]
+            if handler is None:
+                raise RuntimeError(f"no handler attached for node {dst}")
+            handler(msg)
+        else:
+            self._dispatch(msg)
         held = self._chan_held.get(chan)
         if held:
             while True:
@@ -270,12 +305,29 @@ class Interconnect(ABC):
                 id=msg.msg_id,
                 parent=msg.parent_id,
             )
-        handler = self._handlers.get(msg.dst)
+        handler = self._handlers[msg.dst]
         if handler is None:
             raise RuntimeError(f"no handler attached for node {msg.dst}")
         handler(msg)
 
     # -- reporting ----------------------------------------------------------
+    def channel_backlog(self) -> Tuple[Dict[Tuple[int, int], int], Dict[Tuple[int, int], int]]:
+        """``(in_flight, held)``: per ``(src, dst)`` channel, messages sent
+        but not yet delivered, and messages the FIFO resequencer is holding.
+
+        Channels with nothing pending are left out; the rest come in
+        first-send order (the hang diagnosis reports them as they are).
+        """
+        n = self.n_nodes
+        delivered = self._chan_deliver_seq
+        in_flight = {}
+        for chan, sent in self._chan_send_seq.items():
+            pending = sent - delivered.get(chan, 0)
+            if pending > 0:
+                in_flight[divmod(chan, n)] = pending
+        held = {divmod(chan, n): len(h) for chan, h in self._chan_held.items() if h}
+        return in_flight, held
+
     @property
     def message_count(self) -> int:
         return self.stats.counters["messages"]

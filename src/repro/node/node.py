@@ -8,7 +8,7 @@ its cache directory, a write buffer, and a network controller; main memory
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Tuple
 
 from ..cache.cache import SetAssocCache
 from ..cache.lockcache import LockCache
@@ -60,13 +60,17 @@ class Node:
         #: Pending request/reply rendezvous shared by all controllers.
         self._pending_replies: Dict[Tuple, Event] = {}
         self._dispatch: Dict[MessageType, "Controller"] = {}
+        #: mtype -> the registered controller's bound ``handle``: all that
+        #: :meth:`deliver` does for an untraced message, so the network
+        #: calls it directly on a reliable, untraced fabric.
+        self._handle_by_type: Dict[MessageType, Callable[[Message], None]] = {}
         #: Write buffer; its issue path is wired by the data protocol
         #: controller (primitives machine) after construction.
         self.write_buffer: WriteBuffer | None = None
         #: Trace bus or ``None``; the machine installs it before the
         #: controllers are constructed so they can cache the reference.
         self.obs = None
-        net.attach(node_id, self.deliver)
+        net.attach(node_id, self.deliver, self._handle_by_type)
 
     def next_rseq(self) -> int:
         """Fresh per-node request sequence number (resilience tagging)."""
@@ -96,6 +100,7 @@ class Node:
                     f"message type {mtype.name} already handled on node {self.node_id}"
                 )
             self._dispatch[mtype] = controller
+            self._handle_by_type[mtype] = controller.handle
 
     def deliver(self, msg: Message) -> None:
         """Network delivery callback."""

@@ -167,7 +167,13 @@ class Event:
         self._ok = True
         self._value = value
         self._state = _TRIGGERED
-        self.sim._schedule(self, delay)
+        sim = self.sim
+        if delay == 0 and sim._direct:
+            # The common wake-up: _schedule would only stamp and append.
+            sim._seq = seq = sim._seq + 1
+            sim._lane.append((seq, self))
+        else:
+            sim._schedule(self, delay)
         return self
 
     def fail(self, exception: BaseException, delay: float = 0) -> "Event":
@@ -238,7 +244,16 @@ class Timeout(Event):
         self._ok = True
         self._value = value
         self._state = _TRIGGERED
-        sim._schedule(self, delay)
+        if sim._direct:
+            # _schedule with nothing to apply (fast calendar, no jitter
+            # hook, no trace bus): stamp the sequence and push in place.
+            sim._seq = seq = sim._seq + 1
+            if delay > 0:
+                heapq.heappush(sim._heap, (sim.now + delay, seq, self))
+            else:
+                sim._lane.append((seq, self))
+        else:
+            sim._schedule(self, delay)
 
     def __repr__(self) -> str:
         return (
@@ -255,7 +270,7 @@ class Process(Event):
     with the generator's return value, so processes can wait on each other.
     """
 
-    __slots__ = ("_generator", "_waiting_on")
+    __slots__ = ("_generator", "_waiting_on", "_resume_cb")
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
         super().__init__(sim, name=name)
@@ -263,12 +278,11 @@ class Process(Event):
             raise TypeError(f"process() requires a generator, got {generator!r}")
         self._generator = generator
         self._waiting_on: Optional[Event] = None
+        #: The one bound resume callback, parked on every awaited event
+        #: (binding ``self._resume`` per yield would allocate each time).
+        self._resume_cb = self._resume
         # Bootstrap: resume the process at the current time.
-        boot = Event(sim)
-        boot._ok = True
-        boot._state = _TRIGGERED
-        boot.callbacks.append(self._resume)
-        sim._schedule(boot, 0)
+        Timeout(sim, 0).callbacks.append(self._resume_cb)
 
     @property
     def is_alive(self) -> bool:
@@ -290,7 +304,7 @@ class Process(Event):
         if self._waiting_on is not None:
             # Detach from whatever we were waiting on.
             try:
-                self._waiting_on.callbacks.remove(self._resume)
+                self._waiting_on.callbacks.remove(self._resume_cb)
             except ValueError:
                 pass
             self._waiting_on = None
@@ -298,32 +312,35 @@ class Process(Event):
         wake._ok = False
         wake._value = Interrupt(cause)
         wake._state = _TRIGGERED
-        wake.callbacks.append(self._resume)
+        wake.callbacks.append(self._resume_cb)
         self.sim._schedule(wake, 0)
 
     # -- kernel internals --------------------------------------------------
     def _resume(self, trigger: Event) -> None:
-        if self._waiting_on is not None and trigger is not self._waiting_on:
-            # Resumed out-of-band (an interrupt scheduled before the process
-            # first ran): detach from the event we were parked on, or it
-            # would re-resume the finished generator when it fires later.
-            try:
-                self._waiting_on.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        self._waiting_on = None
+        waiting = self._waiting_on
+        if waiting is not None:
+            if trigger is not waiting:
+                # Resumed out-of-band (an interrupt scheduled before the
+                # process first ran): detach from the event we were parked
+                # on, or it would re-resume the finished generator when it
+                # fires later.
+                try:
+                    waiting.callbacks.remove(self._resume_cb)
+                except ValueError:
+                    pass
+            self._waiting_on = None
         sim = self.sim
         obs = sim._obs
         if obs is not None and self.name:
             obs.instant(f"resume:{self.name}", "kernel", 0)
         sim._active_process = self
+        generator = self._generator
         try:
             while True:
                 if trigger._ok:
-                    target = self._generator.send(trigger._value)
+                    target = generator.send(trigger._value)
                 else:
-                    exc = trigger._value
-                    target = self._generator.throw(exc)
+                    target = generator.throw(trigger._value)
                 if not isinstance(target, Event):
                     raise SimulationError(
                         f"process {self.name or self!r} yielded non-event {target!r}"
@@ -332,7 +349,7 @@ class Process(Event):
                     # Already fired: resume immediately with its value.
                     trigger = target
                     continue
-                target.callbacks.append(self._resume)
+                target.callbacks.append(self._resume_cb)
                 self._waiting_on = target
                 return
         except StopIteration as stop:
@@ -695,6 +712,7 @@ class Simulator:
         "_calendar",
         "_trace_kernel",
         "_obs",
+        "_direct",
     )
 
     def __init__(
@@ -743,6 +761,13 @@ class Simulator:
         #: machine installs it via :meth:`set_obs`.  Hot paths test
         #: ``is not None`` only.
         self._obs = None
+        #: Cached "fast calendar, no jitter hook, no trace bus": timeouts
+        #: and zero-delay ``succeed()`` then skip :meth:`_schedule` and push
+        #: themselves (same ``_seq`` stamp, same entry).  Recomputed by
+        #: :meth:`refresh_trace_flags`, which :meth:`set_obs` and
+        #: :meth:`set_jitter` call.
+        self._direct: bool = False
+        self.refresh_trace_flags()
 
     @property
     def fast_path(self) -> bool:
@@ -761,16 +786,19 @@ class Simulator:
         self.refresh_trace_flags()
 
     def refresh_trace_flags(self) -> None:
-        """Recompute the cached per-category trace gates.
+        """Recompute the cached per-category trace and scheduling gates.
 
         Called when the bus is installed/removed or its category set
-        changes (:meth:`repro.obs.bus.TraceBus.set_categories`), and
-        defensively at every ``run()`` entry — so the per-event check in
-        the hot loop is a single attribute load instead of two loads plus
-        a method call.
+        changes (:meth:`repro.obs.bus.TraceBus.set_categories`), when the
+        jitter hook changes, and defensively at every ``run()`` entry — so
+        the per-event check in the hot loop is a single attribute load
+        instead of two loads plus a method call.
         """
         obs = self._obs
         self._trace_kernel = obs is not None and obs.enabled_for("kernel")
+        self._direct = (
+            self._fast and self._cal is None and self._jitter is None and obs is None
+        )
 
     def _calendar_size(self) -> int:
         """Total calendar entries, live or canceled, in every structure."""
@@ -795,6 +823,7 @@ class Simulator:
         identically (in outcome, not in timing) under any jitter.
         """
         self._jitter = fn
+        self.refresh_trace_flags()
 
     # -- factory helpers ----------------------------------------------------
     def event(self, name: str = "") -> Event:

@@ -11,9 +11,10 @@ runs such bags:
   sub-seeds from a base seed without correlation), never on worker
   scheduling; and
 * **incrementally** — results are cached on disk keyed by a digest of the
-  point function, its parameters, and a cache-format version, so re-running
-  a campaign after editing one workload only recomputes the points whose
-  inputs changed.
+  point function, its parameters, and the simulator's source (every
+  ``*.py`` of this package), so re-running a campaign recomputes nothing
+  while the code stands still, and any source edit starts a fresh cache —
+  a cached result can never outlive the code that produced it.
 
 A point function is referenced by dotted path (``"repro.experiments:fig_point"``)
 so workers import it by name — nothing is pickled beyond strings and plain
@@ -37,6 +38,7 @@ Usage::
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import importlib
 import json
@@ -47,7 +49,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 __all__ = [
-    "CACHE_VERSION",
+    "cache_version",
+    "source_digest",
     "SweepTask",
     "SweepStats",
     "task_digest",
@@ -57,10 +60,42 @@ __all__ = [
     "default_jobs",
 ]
 
-#: Bump when simulated semantics change in a way that invalidates cached
-#: results (new kernel, protocol fix, cost-model change).  Part of every
-#: task digest, so stale caches are simply never hit.
-CACHE_VERSION = "pr8.2"
+#: This package's root: the source :func:`cache_version` digests.
+_PACKAGE_ROOT = os.path.dirname(os.path.abspath(__file__))
+
+
+def source_digest(root: str) -> str:
+    """sha256 over every ``*.py`` file under ``root``: relative path and bytes.
+
+    Files are visited in sorted relative-path order, so the digest depends
+    only on the tree's content, never on the file system's listing order.
+    """
+    files = []
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames[:] = [d for d in dirnames if d != "__pycache__"]
+        for name in filenames:
+            if name.endswith(".py"):
+                path = os.path.join(dirpath, name)
+                files.append((os.path.relpath(path, root).replace(os.sep, "/"), path))
+    h = hashlib.sha256()
+    for rel, path in sorted(files):
+        with open(path, "rb") as f:
+            data = f.read()
+        h.update(f"{rel}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
+@functools.cache
+def cache_version() -> str:
+    """The code version in every task digest and cache entry.
+
+    The :func:`source_digest` of this package, so any edit to the simulator
+    invalidates every cached result.  Computed on first use and kept for
+    the life of the process (never at import: a process that runs no
+    sweep pays nothing).
+    """
+    return source_digest(_PACKAGE_ROOT)
 
 
 @dataclass(frozen=True)
@@ -118,8 +153,13 @@ def config_fingerprint(cfg: Any) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def task_digest(task: SweepTask, version: str = CACHE_VERSION) -> str:
-    """Cache key of ``task``: sha256 over (version, fn, canonical params)."""
+def task_digest(task: SweepTask, version: Optional[str] = None) -> str:
+    """Cache key of ``task``: sha256 over (version, fn, canonical params).
+
+    ``version`` defaults to :func:`cache_version`.
+    """
+    if version is None:
+        version = cache_version()
     blob = json.dumps(
         {"version": version, "fn": task.fn, "params": _canonical(task.params)},
         sort_keys=True,
@@ -176,7 +216,7 @@ def _cache_read(cache_dir: str, digest: str) -> Optional[Dict[str, Any]]:
             doc = json.load(f)
     except (OSError, ValueError):
         return None
-    if doc.get("version") != CACHE_VERSION:
+    if doc.get("version") != cache_version():
         return None
     return doc
 
@@ -185,7 +225,7 @@ def _cache_write(cache_dir: str, digest: str, task: SweepTask, result: Any) -> N
     """Atomic write (tmp + rename): concurrent jobs never see torn files."""
     os.makedirs(cache_dir, exist_ok=True)
     doc = {
-        "version": CACHE_VERSION,
+        "version": cache_version(),
         "fn": task.fn,
         "params": _canonical(task.params),
         "result": result,

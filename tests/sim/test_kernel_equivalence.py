@@ -119,3 +119,173 @@ def test_trace_streams_identical_with_faults(calendar, tmp_path):
                          trace_path=alt_trace)
     assert res_heap == res_alt
     assert heap_trace.read_text() == alt_trace.read_text()
+
+
+# --------------------------------------------------------------------------
+# Mid-run changes to the scheduling gates
+# --------------------------------------------------------------------------
+# On the fast calendar a timeout with no jitter hook and no trace bus to
+# apply pushes itself onto the calendar instead of going through
+# ``Simulator._schedule``.  Installing either hook mid-run must route every
+# later timeout back through ``_schedule``, and every discipline must still
+# agree on the resulting order.
+
+
+@pytest.mark.parametrize("calendar", CALENDARS)
+def test_set_jitter_mid_run_applies_to_later_timeouts(calendar):
+    from repro.sim.core import Simulator
+
+    sim = Simulator(calendar=calendar)
+    seen = []
+
+    def proc():
+        yield sim.timeout(5)
+        seen.append(sim.now)
+        sim.set_jitter(lambda d: d * 3)
+        yield sim.timeout(5)
+        seen.append(sim.now)
+        sim.set_jitter(None)
+        yield sim.timeout(5)
+        seen.append(sim.now)
+
+    sim.process(proc())
+    assert sim._direct == (calendar == "fast")
+    sim.run()
+    assert seen == [5, 20, 25]
+    assert sim._direct == (calendar == "fast")
+
+
+@pytest.mark.parametrize("calendar", CALENDARS)
+def test_set_obs_mid_run_stamps_later_timeouts(calendar):
+    from repro.obs import ObsParams
+    from repro.obs.bus import TraceBus
+    from repro.sim.core import Simulator
+
+    sim = Simulator(calendar=calendar)
+    stamps = []
+
+    def proc():
+        yield sim.timeout(4)
+        ev = sim.timeout(3)
+        stamps.append(ev.sched_at)
+        yield ev
+        sim.set_obs(TraceBus(sim, ObsParams()))
+        assert not sim._direct
+        ev = sim.timeout(3)
+        stamps.append(ev.sched_at)
+        yield ev
+        sim.set_obs(None)
+        ev = sim.timeout(3)
+        stamps.append(ev.sched_at)
+        yield ev
+
+    sim.process(proc())
+    sim.run()
+    assert stamps == [-1.0, 7, -1.0]
+    assert sim.now == 13
+
+
+def _jitter_toggle_log(calendar):
+    """A kernel-level run whose jitter hook is installed and removed
+    mid-run, with zero-delay, positive-delay and succeed() wake-ups mixed."""
+    from repro.sim.core import Simulator
+
+    sim = Simulator(calendar=calendar)
+    rng = np.random.default_rng(3)
+    log = []
+    gate = sim.event("gate")
+
+    def worker(i):
+        for k in range(12):
+            yield sim.timeout(int(rng.integers(0, 4)))
+            log.append((sim.now, i, k))
+            if i == 0 and k == 5 and not gate.triggered:
+                gate.succeed(k)
+
+    def toggler():
+        yield sim.timeout(6)
+        sim.set_jitter(lambda d: d + 0.5)
+        yield gate
+        log.append((sim.now, "gate"))
+        yield sim.timeout(7)
+        sim.set_jitter(None)
+        log.append((sim.now, "off"))
+
+    for i in range(4):
+        sim.process(worker(i))
+    sim.process(toggler())
+    sim.run()
+    return log, sim.events_processed
+
+
+@pytest.mark.parametrize("calendar", ALTERNATES)
+def test_jitter_toggled_mid_run_matches_heap(calendar):
+    assert _jitter_toggle_log(calendar) == _jitter_toggle_log("heap")
+
+
+@pytest.mark.parametrize("calendar", ALTERNATES)
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_machine_jitter_toggled_mid_run_matches_heap(protocol, calendar):
+    """The same at machine scale: a syncmodel run whose fuzz jitter is
+    switched on at cycle 150 and off again at cycle 600."""
+    from repro.system.config import MachineConfig
+    from repro.system.machine import Machine
+    from repro.verify.litmus import make_jitter
+    from repro.workloads.syncmodel import SyncModelParams, SyncModelWorkload
+
+    scheme = {"wbi": "tts", "primitives": "cbl", "writeupdate": "ts"}[protocol]
+
+    def run(cal):
+        msgmod._msg_ids = itertools.count()
+        machine = Machine(MachineConfig(n_nodes=4, cache_blocks=64, seed=2),
+                          protocol=protocol, calendar=cal)
+
+        def toggler():
+            yield machine.sim.timeout(150)
+            machine.sim.set_jitter(
+                make_jitter(machine.rng.stream("toggle.jitter"), 2.5, prob=0.5))
+            yield machine.sim.timeout(450)
+            machine.sim.set_jitter(None)
+
+        machine.spawn(toggler(), name="toggler")
+        params = SyncModelParams(tasks_per_node=3, grain_size=40, shared_ratio=0.3)
+        SyncModelWorkload(machine, params, lock_scheme=scheme).run()
+        return json.dumps(machine.metrics().to_json(), sort_keys=True)
+
+    assert run(calendar) == run("heap")
+
+
+@pytest.mark.parametrize("calendar", CALENDARS)
+def test_interrupt_detaches_cached_resume_callback(calendar):
+    """A process parks one cached bound callback on what it awaits;
+    interrupting it must take exactly that callback off the event, so the
+    event firing later does not resume the process a second time."""
+    from repro.sim.core import Interrupt, Simulator
+
+    sim = Simulator(calendar=calendar)
+    ev = sim.event("never-yet")
+    resumed = []
+
+    def sleeper():
+        try:
+            yield ev
+            resumed.append("event")
+        except Interrupt as exc:
+            resumed.append(exc.cause)
+        yield sim.timeout(10)
+        resumed.append("done")
+
+    proc = sim.process(sleeper())
+
+    def interrupter():
+        yield sim.timeout(2)
+        assert ev.callbacks == [proc._resume_cb]
+        proc.interrupt("stop")
+        assert ev.callbacks == []
+        yield sim.timeout(1)
+        ev.succeed()
+
+    sim.process(interrupter())
+    sim.run()
+    assert resumed == ["stop", "done"]
+    assert sim.now == 12

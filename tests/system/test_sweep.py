@@ -13,13 +13,14 @@ import textwrap
 import pytest
 
 from repro.sweep import (
-    CACHE_VERSION,
     SweepStats,
     SweepTask,
+    cache_version,
     config_fingerprint,
     default_jobs,
     derive_seed,
     run_sweep,
+    source_digest,
     task_digest,
 )
 from repro.system.config import MachineConfig
@@ -38,7 +39,34 @@ def test_task_digest_distinguishes_fn_params_and_version():
     base = SweepTask("m:f", {"x": 1})
     assert task_digest(base) != task_digest(SweepTask("m:g", {"x": 1}))
     assert task_digest(base) != task_digest(SweepTask("m:f", {"x": 2}))
-    assert task_digest(base) != task_digest(base, version=CACHE_VERSION + "x")
+    assert task_digest(base) != task_digest(base, version=cache_version() + "x")
+    assert task_digest(base) == task_digest(base, version=cache_version())
+
+
+def test_source_digest_tracks_every_source_byte(tmp_path):
+    """The cache's code version moves with any edit to a ``.py`` file (or a
+    renamed one) and ignores everything else."""
+    pkg = tmp_path / "pkg"
+    (pkg / "sub").mkdir(parents=True)
+    (pkg / "a.py").write_text("X = 1\n")
+    (pkg / "sub" / "b.py").write_text("Y = 2\n")
+    base = source_digest(str(pkg))
+    assert source_digest(str(pkg)) == base
+    (pkg / "notes.txt").write_text("not source")
+    assert source_digest(str(pkg)) == base
+    (pkg / "sub" / "b.py").write_text("Y = 3\n")
+    changed = source_digest(str(pkg))
+    assert changed != base
+    (pkg / "sub" / "b.py").rename(pkg / "sub" / "c.py")
+    assert source_digest(str(pkg)) not in (base, changed)
+
+
+def test_cache_version_is_the_package_source_digest():
+    import repro.sweep as sweep_mod
+
+    root = os.path.dirname(os.path.abspath(sweep_mod.__file__))
+    assert cache_version() == source_digest(root)
+    assert cache_version() is cache_version()  # computed once per process
 
 
 def test_task_digest_normalizes_tuples_to_lists():
