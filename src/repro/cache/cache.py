@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 from ..sim.stats import StatSet
@@ -39,7 +40,11 @@ class SetAssocCache:
         # n_nodes x 1024 lines, and eagerly building them dominated machine
         # construction time while a typical sweep point touches a fraction.
         self._sets: List[Optional[List[CacheLine]]] = [None] * n_sets
-        self.stats = StatSet()
+
+    @cached_property
+    def stats(self) -> StatSet:
+        # Built on first use: many caches of a short run are never touched.
+        return StatSet()
 
     def _set(self, idx: int) -> List[CacheLine]:
         s = self._sets[idx]

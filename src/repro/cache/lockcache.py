@@ -10,6 +10,7 @@ as a compile-time resource-management problem; we surface exhaustion as
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, List, Optional
 
 from ..sim.stats import StatSet
@@ -32,7 +33,11 @@ class LockCache:
         self.capacity = capacity
         self.words_per_block = words_per_block
         self._lines: Dict[int, CacheLine] = {}
-        self.stats = StatSet()
+
+    @cached_property
+    def stats(self) -> StatSet:
+        # Built on first use: most machines never touch their lock cache.
+        return StatSet()
 
     def __len__(self) -> int:
         return len(self._lines)

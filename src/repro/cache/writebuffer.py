@@ -20,6 +20,7 @@ consistency forbids (found by the schedule fuzzer in
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from ..sim.core import Event, Simulator
@@ -71,11 +72,15 @@ class WriteBuffer:
         self._next_id = 0
         self._flush_waiters: list[Event] = []
         self._space_waiters: list[tuple[Event, int, int]] = []
-        self.stats = StatSet()
         self.occupancy = TimeWeighted()
         #: Trace bus or ``None``; ``owner`` is the hosting node id (tid).
         self.obs = obs
         self.owner = owner
+
+    @cached_property
+    def stats(self) -> StatSet:
+        # Built on first use: a short run leaves many write buffers idle.
+        return StatSet()
 
     # -- state ----------------------------------------------------------
     @property

@@ -18,6 +18,7 @@ Two variants:
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List, Optional, Tuple
 
 from ..sim.core import Simulator
@@ -27,6 +28,15 @@ from .routing import num_stages, omega_route
 from .topology import Interconnect, NetworkParams
 
 __all__ = ["OmegaNetwork", "BufferedOmegaNetwork"]
+
+
+@functools.cache
+def _route_slots(n_nodes: int) -> List[Optional[Tuple[int, ...]]]:
+    """The memo of route slots for ``n_nodes``, shared by every network
+    of that size (see :attr:`OmegaNetwork._slots`): routes are a function
+    of ``(src, dst, n_nodes)`` alone, so each is computed once per process
+    rather than once per short-lived machine."""
+    return [None] * (n_nodes * n_nodes)
 
 
 class OmegaNetwork(Interconnect):
@@ -43,8 +53,8 @@ class OmegaNetwork(Interconnect):
         self._wire_busy_total = 0.0
         # Destination-tag routes are static per channel: memoized as the
         # tuple of _busy_until slots the route occupies, by channel index
-        # ``src * n_nodes + dst``.
-        self._slots: List[Optional[Tuple[int, ...]]] = [None] * (n_nodes * n_nodes)
+        # ``src * n_nodes + dst``, filled on first use.
+        self._slots = _route_slots(n_nodes)
         self._queueing = self.stats.tally("queueing")
 
     def _route(self, msg: Message, flits: int) -> None:

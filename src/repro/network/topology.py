@@ -21,6 +21,7 @@ come from.
 
 from __future__ import annotations
 
+import functools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
@@ -35,6 +36,19 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["NetworkParams", "Interconnect", "DeliveryHandler"]
 
 DeliveryHandler = Callable[[Message], None]
+
+
+@functools.cache
+def _mtype_info(words_per_block: int) -> Dict[MessageType, Tuple[int, str]]:
+    """``mtype -> (flit count, counter key)`` for one block size.
+
+    Built on the first interconnect of each block size and shared, read
+    only, by every later one: a short run would otherwise spend a large
+    part of its set-up rebuilding the same table (one f-string per
+    message type per machine).
+    """
+    flits = flit_table(words_per_block)
+    return {mt: (flits[mt], f"msg.{mt.name}") for mt in MessageType}
 
 
 @dataclass(slots=True)
@@ -111,12 +125,12 @@ class Interconnect(ABC):
         self.stats = StatSet()
         # Per-message hot-path constants, resolved once: mtype -> (flit
         # count, counter key) (f-strings per send add up at millions of
-        # messages), the raw counter dict (per-message counts are plain
-        # increments on it, so every reader of ``stats.counters`` sees the
-        # same keys in the same first-send order), the latency tally, and
-        # the arrival callback, bound once rather than per message.
-        flits = flit_table(self.params.words_per_block)
-        self._mtype_info = {mt: (flits[mt], f"msg.{mt.name}") for mt in MessageType}
+        # messages; the table is shared per block size), the raw counter
+        # dict (per-message counts are plain increments on it, so every
+        # reader of ``stats.counters`` sees the same keys in the same
+        # first-send order), the latency tally, and the arrival callback,
+        # bound once rather than per message.
+        self._mtype_info = _mtype_info(self.params.words_per_block)
         self._counts = self.stats.counters._counts
         self._latency = self.stats.tally("latency")
         self._arrive = self._on_arrival

@@ -59,7 +59,6 @@ class Node:
         self._req_order: Dict[int, list] = {}
         #: Pending request/reply rendezvous shared by all controllers.
         self._pending_replies: Dict[Tuple, Event] = {}
-        self._dispatch: Dict[MessageType, "Controller"] = {}
         #: mtype -> the registered controller's bound ``handle``: all that
         #: :meth:`deliver` does for an untraced message, so the network
         #: calls it directly on a reliable, untraced fabric.
@@ -92,25 +91,28 @@ class Node:
         while len(order) > cap:
             self.req_log.pop(order.pop(0), None)
 
-    def register(self, controller: "Controller") -> None:
-        """Route the controller's message types to it."""
-        for mtype in controller.IN_TYPES:
-            if mtype in self._dispatch:
-                raise ValueError(
-                    f"message type {mtype.name} already handled on node {self.node_id}"
-                )
-            self._dispatch[mtype] = controller
-            self._handle_by_type[mtype] = controller.handle
+    def register(self, *controllers: "Controller") -> None:
+        """Route each controller's message types to it (one bound ``handle``
+        per controller, shared by all of its types)."""
+        table = self._handle_by_type
+        for controller in controllers:
+            handle = controller.handle
+            for mtype in controller.IN_TYPES:
+                if mtype in table:
+                    raise ValueError(
+                        f"message type {mtype.name} already handled on node {self.node_id}"
+                    )
+                table[mtype] = handle
 
     def deliver(self, msg: Message) -> None:
         """Network delivery callback."""
-        ctl = self._dispatch.get(msg.mtype)
-        if ctl is None:
+        handle = self._handle_by_type.get(msg.mtype)
+        if handle is None:
             raise RuntimeError(
                 f"node {self.node_id} has no controller for {msg.mtype.name}"
             )
         if self.obs is None:
-            ctl.handle(msg)
+            handle(msg)
             return
         # Tracing: messages sent while this handler runs record this
         # message as their causal parent (network lineage).
@@ -118,6 +120,6 @@ class Node:
         prev = net._cause
         net._cause = msg.msg_id
         try:
-            ctl.handle(msg)
+            handle(msg)
         finally:
             net._cause = prev

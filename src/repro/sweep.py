@@ -5,7 +5,11 @@ functions of JSON-able parameters returning JSON-able results.  This module
 runs such bags:
 
 * **in parallel** across worker processes (``ProcessPoolExecutor``), since
-  each point is an isolated simulation with no shared state;
+  each point is an isolated simulation with no shared state.  Points go
+  out in guided self-scheduling chunks (:func:`guided_chunks`): large
+  while much work remains, one point at a time at the end, so a sweep of
+  millisecond points pays a few dozen round trips to the pool instead of
+  one per point, and the workers still finish together;
 * **deterministically** — a point's result depends only on its parameters
   (each carries its own seed; :func:`derive_seed` splits independent
   sub-seeds from a base seed without correlation), never on worker
@@ -14,7 +18,9 @@ runs such bags:
   point function, its parameters, and the simulator's source (every
   ``*.py`` of this package), so re-running a campaign recomputes nothing
   while the code stands still, and any source edit starts a fresh cache —
-  a cached result can never outlive the code that produced it.
+  a cached result can never outlive the code that produced it.  Each
+  result is written as soon as it reaches the parent, so a point that
+  raises loses no finished work: a rerun recomputes only what is missing.
 
 A point function is referenced by dotted path (``"repro.experiments:fig_point"``)
 so workers import it by name — nothing is pickled beyond strings and plain
@@ -43,10 +49,10 @@ import hashlib
 import importlib
 import json
 import os
-import tempfile
-from concurrent.futures import ProcessPoolExecutor
+import threading
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "cache_version",
@@ -58,6 +64,7 @@ __all__ = [
     "derive_seed",
     "run_sweep",
     "default_jobs",
+    "guided_chunks",
 ]
 
 #: This package's root: the source :func:`cache_version` digests.
@@ -202,8 +209,54 @@ def _resolve(fn_path: str) -> Callable[..., Any]:
 
 
 def _run_task(fn_path: str, params: Dict[str, Any]) -> Any:
-    """Worker entry point: resolve the function by name and call it."""
+    """Resolve the point function by name and call it."""
     return _resolve(fn_path)(**params)
+
+
+class _ChunkError(Exception):
+    """A point of a chunk raised: the results of the points before it
+    (``done``) and the point's exception (``exc``)."""
+
+    def __init__(self, done: List[Any], exc: BaseException):
+        super().__init__(done, exc)
+        self.done = done
+        self.exc = exc
+
+
+def _run_chunk(items: List[Tuple[str, Dict[str, Any]]]) -> List[Any]:
+    """Worker entry point: run a chunk's points in order, each on its own.
+
+    A raising point stops the chunk; the results finished before it
+    travel back with the exception, so the parent can still cache them.
+    """
+    done: List[Any] = []
+    for fn_path, params in items:
+        try:
+            done.append(_run_task(fn_path, params))
+        except Exception as exc:
+            raise _ChunkError(done, exc) from exc
+    return done
+
+
+def guided_chunks(n: int, jobs: int) -> List[List[int]]:
+    """Guided self-scheduling chunks of the points ``0 .. n-1`` on ``jobs``
+    workers, in the order the pool should take them.
+
+    Each chunk takes every ``2 * jobs``-th of the points still left, so
+    ``ceil(left / (2 * jobs))`` of them: the first chunks are large (few
+    round trips to the pool) and the sizes shrink to one point as the work
+    runs out, so whichever worker frees up first takes the small tail.
+    Taking every k-th point rather than a contiguous run spreads a block of
+    expensive points (a figure's largest machines, listed together) over
+    many chunks instead of handing it all to one worker.
+    """
+    step = 2 * jobs
+    left = list(range(n))
+    chunks = []
+    while left:
+        chunks.append(left[::step])
+        del left[::step]
+    return chunks
 
 
 def _cache_path(cache_dir: str, digest: str) -> str:
@@ -222,19 +275,23 @@ def _cache_read(cache_dir: str, digest: str) -> Optional[Dict[str, Any]]:
 
 
 def _cache_write(cache_dir: str, digest: str, task: SweepTask, result: Any) -> None:
-    """Atomic write (tmp + rename): concurrent jobs never see torn files."""
-    os.makedirs(cache_dir, exist_ok=True)
+    """Atomic write (tmp + rename): concurrent jobs never see torn files.
+
+    ``cache_dir`` must exist.  The temporary file is named after the
+    writing process and thread, so no two writers share one.
+    """
     doc = {
         "version": cache_version(),
         "fn": task.fn,
         "params": _canonical(task.params),
         "result": result,
     }
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    path = _cache_path(cache_dir, digest)
+    tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
     try:
-        with os.fdopen(fd, "w") as f:
-            json.dump(doc, f, sort_keys=True)
-        os.replace(tmp, _cache_path(cache_dir, digest))
+        with open(tmp, "w") as f:
+            f.write(json.dumps(doc, sort_keys=True))
+        os.replace(tmp, path)
     except BaseException:
         try:
             os.unlink(tmp)
@@ -257,6 +314,12 @@ def run_sweep(
     are not allowed).  ``cache_dir=None`` with ``use_cache=True`` uses
     :func:`default_cache_dir`.  Identical tasks in the batch are computed
     once.  Pass a :class:`SweepStats` to observe hit/computed counts.
+
+    Every result is cached the moment it reaches this process.  If a point
+    raises, the exception propagates: inline at once; from the pool after
+    the chunks already handed out have landed, as the exception of the
+    earliest failing point in task order.  Either way every result
+    finished before the failure is in the cache.
     """
     tasks = list(tasks)
     if jobs is None:
@@ -285,20 +348,44 @@ def run_sweep(
         to_run.append(i)
 
     stats.computed = len(to_run)
-    if to_run:
-        if jobs > 1 and len(to_run) > 1:
-            with ProcessPoolExecutor(max_workers=min(jobs, len(to_run))) as pool:
-                futures = [
-                    (i, pool.submit(_run_task, tasks[i].fn, tasks[i].params))
-                    for i in to_run
-                ]
-                for i, fut in futures:
-                    results[digests[i]] = fut.result()
-        else:
-            for i in to_run:
-                results[digests[i]] = _run_task(tasks[i].fn, tasks[i].params)
-        if use_cache and cache_dir is not None:
-            for i in to_run:
-                _cache_write(cache_dir, digests[i], tasks[i], results[digests[i]])
+    write_to = cache_dir if use_cache else None
+    if write_to is not None and to_run:
+        os.makedirs(write_to, exist_ok=True)
+
+    def land(indices: Sequence[int], values: Sequence[Any]) -> None:
+        for i, value in zip(indices, values):
+            results[digests[i]] = value
+            if write_to is not None:
+                _cache_write(write_to, digests[i], tasks[i], value)
+
+    if jobs > 1 and len(to_run) > 1:
+        jobs = min(jobs, len(to_run))
+        chunks = [[to_run[k] for k in chunk] for chunk in guided_chunks(len(to_run), jobs)]
+        #: (task index, exception, remote traceback) of the earliest failure.
+        failure = None
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            futures = {
+                pool.submit(_run_chunk, [(tasks[i].fn, tasks[i].params) for i in chunk]): chunk
+                for chunk in chunks
+            }
+            for fut in as_completed(futures):
+                chunk = futures[fut]
+                failed = None
+                try:
+                    values = fut.result()
+                except _ChunkError as err:
+                    values = err.done
+                    failed = (chunk[len(values)], err.exc, err.__cause__)
+                except Exception as exc:  # the pool itself failed (a worker died)
+                    values = []
+                    failed = (chunk[0], exc, exc.__cause__)
+                land(chunk, values)
+                if failed is not None and (failure is None or failed[0] < failure[0]):
+                    failure = failed
+        if failure is not None:
+            raise failure[1] from failure[2]
+    else:
+        for i in to_run:
+            land((i,), (_run_task(tasks[i].fn, tasks[i].params),))
 
     return [results[d] for d in digests]

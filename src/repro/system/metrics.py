@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
@@ -32,6 +33,15 @@ def _geometric_bounds(lo: int = 1, hi: int = 10**9, num: int = 4) -> tuple:
 #: Shared bucket upper edges (cycles).  Bucket ``i`` counts samples with
 #: ``BOUNDS[i-1] < v <= BOUNDS[i]``; one overflow bucket sits past the end.
 LATENCY_BOUNDS = _geometric_bounds()
+
+
+@functools.cache
+def _bounds_array():
+    """:data:`LATENCY_BOUNDS` as a float64 array, built on first use (numpy
+    is imported only by the runs that record latency batches)."""
+    import numpy as np
+
+    return np.asarray(LATENCY_BOUNDS, dtype=np.float64)
 
 
 @dataclass(slots=True)
@@ -68,15 +78,20 @@ class LatencyHistogram:
             self.max = float(value)
 
     def record_many(self, values) -> None:
-        """Vectorized :meth:`record` for a numpy array of samples."""
+        """Vectorized :meth:`record` for a numpy array of samples.
+
+        Batches are small (a served batch at a time), so the bucket indices
+        come from one ``searchsorted`` and are counted in a plain loop;
+        ``sum`` stays numpy's own reduction of the float64 array.
+        """
         import numpy as np
 
         arr = np.asarray(values, dtype=np.float64)
         if arr.size == 0:
             return
-        idx = np.searchsorted(np.asarray(LATENCY_BOUNDS, dtype=np.float64), arr, side="left")
-        for i, c in zip(*np.unique(idx, return_counts=True)):
-            self._bump(int(i), int(c))
+        counts = self.counts
+        for i in _bounds_array().searchsorted(arr, side="left").ravel().tolist():
+            counts[i] += 1
         self.total += int(arr.size)
         self.sum += float(arr.sum())
         m = float(arr.max())

@@ -146,6 +146,11 @@ def test_node_rejects_duplicate_message_registration():
     m = Machine(MachineConfig(n_nodes=2), protocol="wbi")
     with pytest.raises(ValueError, match="already handled"):
         m.nodes[0].register(WBICacheController(m.nodes[0]))
+    node = m.nodes[1]
+    with pytest.raises(ValueError, match="already handled"):
+        node.register(node.cbl)
+    with pytest.raises(ValueError, match="already handled"):
+        node.register(node.barrier_engine, node.cbl)
 
 
 def test_determinism_across_identical_machines():

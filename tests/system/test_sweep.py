@@ -19,6 +19,7 @@ from repro.sweep import (
     config_fingerprint,
     default_jobs,
     derive_seed,
+    guided_chunks,
     run_sweep,
     source_digest,
     task_digest,
@@ -120,6 +121,15 @@ def probe_module(tmp_path, monkeypatch):
             with open(log, "a") as f:
                 f.write(tag + "\\n")
             return {"tag": tag, "value": len(tag)}
+
+        def flaky(tag, log, failing):
+            # Raises while ``tag`` is listed in the file ``failing``: the
+            # failure lives outside the params, so a rerun after clearing
+            # the file has the same task digests.
+            with open(failing) as f:
+                if tag in f.read().split():
+                    raise RuntimeError(f"point {tag} failed")
+            return point(tag, log)
     """))
     monkeypatch.syspath_prepend(str(tmp_path))
     log = tmp_path / "calls.log"
@@ -194,17 +204,96 @@ def test_corrupt_cache_file_is_a_miss(probe_module, tmp_path):
 
 def test_pool_and_inline_agree(probe_module, tmp_path):
     """jobs=N must yield exactly what jobs=1 yields, in the same order —
-    worker scheduling is invisible in the result list."""
+    worker scheduling (chunks included) is invisible in the result list,
+    and a duplicated task is computed once either way."""
     log = probe_module
-    tasks = [
-        SweepTask("sweep_probe:point", {"tag": f"t{i}", "log": str(log)})
-        for i in range(6)
-    ]
-    inline = run_sweep(tasks, jobs=1, use_cache=False)
-    pooled = run_sweep(tasks, jobs=2, use_cache=False)
+    tags = [f"t{i % 13}" for i in range(40)]  # 13 distinct points, repeated
+    tasks = [SweepTask("sweep_probe:point", {"tag": t, "log": str(log)}) for t in tags]
+    s1, s2 = SweepStats(), SweepStats()
+    inline = run_sweep(tasks, jobs=1, use_cache=False, stats=s1)
+    inline_calls = sorted(_calls(log))
+    log.write_text("")
+    pooled = run_sweep(tasks, jobs=2, use_cache=False, stats=s2)
     assert inline == pooled
+    assert [r["tag"] for r in pooled] == tags
+    assert s1.computed == s2.computed == 13
+    assert sorted(_calls(log)) == inline_calls == sorted(set(tags))
 
 
 def test_unresolvable_point_function_raises():
     with pytest.raises(ImportError):
         run_sweep([SweepTask("repro.sweep:no_such_point", {})], jobs=1, use_cache=False)
+
+
+def test_guided_chunks_partition_and_shrink_to_single_points():
+    for n in (1, 2, 3, 7, 64, 196, 236, 1000):
+        for jobs in (1, 2, 3, 8):
+            chunks = guided_chunks(n, jobs)
+            assert sorted(i for c in chunks for i in c) == list(range(n))
+            left = n
+            for c in chunks:
+                # A 1/(2 jobs) share of what is left, in task order.
+                assert len(c) == -(-left // (2 * jobs))
+                assert c == sorted(c)
+                left -= len(c)
+            assert len(chunks[-1]) == 1
+    # A sweep of a few hundred small points is a few dozen round trips.
+    assert len(guided_chunks(236, 2)) < 30
+
+
+def test_guided_chunks_interleave_the_task_list():
+    # Every 4th point (jobs=2), then every 4th of the rest: a block of
+    # expensive neighbours is split over chunks, not handed to one worker.
+    chunks = guided_chunks(16, 2)
+    assert chunks[0] == [0, 4, 8, 12]
+    assert chunks[1] == [1, 6, 11]
+    assert max(len(set(range(4)) & set(c)) for c in chunks) == 1
+
+
+def _flaky_tasks(log, failing, n=6):
+    return [
+        SweepTask("sweep_probe:flaky", {"tag": f"t{i}", "log": str(log), "failing": str(failing)})
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize(
+    "jobs, fail, kept",
+    [
+        (1, "t5", ["t0", "t1", "t2", "t3", "t4"]),
+        (1, "t2", ["t0", "t1"]),  # inline stops at the failure
+        # Pooled, chunks [t0 t4] [t1] [t2] [t3] [t5]: the points before the
+        # failure in its chunk and every other chunk handed out still land;
+        # the points after it in its chunk never run.
+        (2, "t4", ["t0", "t1", "t2", "t3", "t5"]),
+        (2, "t0", ["t1", "t2", "t3", "t5"]),
+    ],
+)
+def test_failing_point_keeps_finished_results(probe_module, tmp_path, jobs, fail, kept):
+    log = probe_module
+    cache = tmp_path / "cache"
+    failing = tmp_path / "failing"
+    failing.write_text(fail)
+    tasks = _flaky_tasks(log, failing)
+    with pytest.raises(RuntimeError, match=f"point {fail} failed") as info:
+        run_sweep(tasks, jobs=jobs, cache_dir=str(cache))
+    if jobs > 1:
+        assert "flaky" in str(info.value.__cause__)  # the worker's traceback
+    assert sorted(_calls(log)) == kept
+    assert len(os.listdir(cache)) == len(kept)
+    # The rerun, failure gone, hits every finished point and computes the rest.
+    failing.write_text("")
+    log.write_text("")
+    stats = SweepStats()
+    out = run_sweep(tasks, jobs=jobs, cache_dir=str(cache), stats=stats)
+    assert stats.hits == len(kept) and stats.computed == 6 - len(kept)
+    assert sorted(_calls(log)) == sorted(set(f"t{i}" for i in range(6)) - set(kept))
+    assert [r["tag"] for r in out] == [f"t{i}" for i in range(6)]
+    assert all(n.endswith(".json") for n in os.listdir(cache))  # no temporaries left
+
+
+def test_pool_raises_the_earliest_failure_in_task_order(probe_module, tmp_path):
+    failing = tmp_path / "failing"
+    failing.write_text("t4 t1")
+    with pytest.raises(RuntimeError, match="point t1 failed"):
+        run_sweep(_flaky_tasks(probe_module, failing), jobs=2, cache_dir=str(tmp_path / "c"))
